@@ -107,8 +107,6 @@ OPTIONS:
                        measured load must stay byte-verified
                        (default: 0 = off)
     --chaos-seed N     seed of the fault plan (default: 99)
-    --linger-us N      self-hosted server's coalescing window (default:
-                       1000; ignored with --addr)
     --queue-depth N    self-hosted server's admission queue (default:
                        1024; ignored with --addr)
     --no-verify        skip the byte-exact oracle comparison
@@ -135,7 +133,6 @@ struct Args {
     busy_retries: u32,
     chaos: f64,
     chaos_seed: u64,
-    linger: Duration,
     queue_depth: usize,
     verify: bool,
     out: PathBuf,
@@ -159,7 +156,6 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Option<Args>, String
         busy_retries: 3,
         chaos: 0.0,
         chaos_seed: 99,
-        linger: Duration::from_micros(1000),
         queue_depth: 1024,
         verify: true,
         out: PathBuf::from("LOAD_exma.json"),
@@ -201,9 +197,6 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Option<Args>, String
                     .ok_or("--chaos needs a probability in [0, 1]")?;
             }
             "--chaos-seed" => args.chaos_seed = parse_num(&value("--chaos-seed")?)?,
-            "--linger-us" => {
-                args.linger = Duration::from_micros(parse_num(&value("--linger-us")?)?)
-            }
             "--queue-depth" => args.queue_depth = parse_num(&value("--queue-depth")?)?,
             "--no-verify" => args.verify = false,
             "--out" => args.out = PathBuf::from(value("--out")?),
@@ -541,6 +534,9 @@ fn run_connection(
     let Ok(stream) = TcpStream::connect(addr) else {
         return (assigned.iter().map(|_| Outcome::Error).collect(), 0, None);
     };
+    // Each request is one small write; Nagle would hold it behind the
+    // previous one's ACK and add that stall to the measured latency.
+    let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else {
         return (assigned.iter().map(|_| Outcome::Error).collect(), 0, None);
     };
@@ -743,8 +739,10 @@ struct ControlConn {
 
 impl ControlConn {
     fn connect(addr: &str) -> std::io::Result<ControlConn> {
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         Ok(ControlConn {
-            stream: TcpStream::connect(addr)?,
+            stream,
             next_id: 1 << 62,
         })
     }
@@ -926,7 +924,6 @@ fn run(args: &Args) -> ExitCode {
         None => {
             let config = ServerConfig {
                 queue_depth: args.queue_depth,
-                linger: args.linger,
                 // Under chaos, stalled sacrificial connections must be
                 // reaped within the run, not after a minute.
                 idle_timeout: if args.chaos > 0.0 {

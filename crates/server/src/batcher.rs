@@ -15,15 +15,19 @@
 //! itself fills, at which point the connection answers BUSY
 //! (backpressure with an explicit signal, not an unbounded buffer).
 //!
-//! A `linger` window (Kafka's `linger.ms`, by another name) lets the
-//! batcher wait briefly after the first submission so concurrent
-//! clients coalesce even when the engine is faster than the arrival
-//! process; `linger = 0` degrades gracefully to drain-what's-there.
+//! There is no coalescing window. Once a batch's first submission
+//! arrives, the batcher takes only what is already queued (up to the
+//! batch-size cap) and runs the engine at once, the way
+//! iteration-level continuous batching does (Orca, OSDI '22). Merging
+//! still happens on its own: submissions that arrive while a batch
+//! runs queue up and form the next one. A lone request therefore pays
+//! no wait, and a busy server still merges. Serving measurements found
+//! no workload that a fixed wait after the first arrival helped.
 //!
 //! Deadlines are enforced *here*, not at admission: a submission's
-//! budget is checked when the batcher pulls it off the queue and
-//! re-checked after the linger window, because queueing and lingering
-//! are exactly where a request's budget silently drains away. An
+//! budget is checked when the batcher pulls it off the queue, just
+//! before the engine run, because queueing is exactly where a
+//! request's budget silently drains away. An
 //! expired submission answers a typed LATE frame (elapsed vs budget)
 //! and never reaches the engine — load shedding that saves the whole
 //! engine run a dead client would otherwise burn. Submissions whose
@@ -37,7 +41,7 @@
 //! — the PR 6 retained-sender deadlock, designed out.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
 use std::time::{Duration, Instant};
 
 use exma_engine::{Executor, QueryArena, QueryBatch};
@@ -88,9 +92,6 @@ fn saturating_us(d: Duration) -> u32 {
 /// Batcher knobs, fixed at server start.
 #[derive(Debug, Clone, Copy)]
 pub struct BatcherConfig {
-    /// How long to keep coalescing after the first submission of a
-    /// batch arrives. Zero drains only what is already queued.
-    pub linger: Duration,
     /// Stop coalescing once the merged batch reaches this many
     /// queries (bounds per-batch latency and arena growth).
     pub max_batch_queries: usize,
@@ -99,7 +100,6 @@ pub struct BatcherConfig {
 impl Default for BatcherConfig {
     fn default() -> BatcherConfig {
         BatcherConfig {
-            linger: Duration::from_micros(200),
             max_batch_queries: 4096,
         }
     }
@@ -246,9 +246,9 @@ impl ServerStats {
 }
 
 /// Pulls one submission's worth of bookkeeping: decrements the queue
-/// depth, answers LATE if the budget already elapsed (deadline check
-/// *before* linger), and returns the submission only if it is still
-/// worth batching.
+/// depth, answers LATE if the budget already elapsed (the one deadline
+/// check, just before the engine run), and returns the submission only
+/// if it is still worth batching.
 fn triage(sub: Submission, stats: &ServerStats) -> Option<Submission> {
     stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
     if let Some(info) = sub.expired() {
@@ -261,6 +261,19 @@ fn triage(sub: Submission, stats: &ServerStats) -> Option<Submission> {
         return None;
     }
     Some(sub)
+}
+
+/// The next live submission already in the queue, triaging (and
+/// skipping) expired or dead ones; never waits.
+fn next_queued(
+    queue: &Receiver<Submission>,
+    stats: &ServerStats,
+) -> Result<Submission, TryRecvError> {
+    loop {
+        if let Some(sub) = triage(queue.try_recv()?, stats) {
+            return Ok(sub);
+        }
+    }
 }
 
 fn send_late(sub: &Submission, info: LateInfo, stats: &ServerStats) {
@@ -287,7 +300,6 @@ pub fn run_batcher(
 ) {
     let mut merged = QueryBatch::new();
     let mut arena = QueryArena::new();
-    let mut pending: Vec<Submission> = Vec::new();
     // Per-submission routing: (request_id, version, end offset in
     // `merged`, reply).
     let mut routes: Vec<(u64, u8, usize, ReplyHandle)> = Vec::new();
@@ -298,7 +310,7 @@ pub fn run_batcher(
         // Poll for the batch's first live submission. Polling (rather
         // than blocking on recv) is what lets a drain finish while
         // connections still hold queue senders.
-        let first = loop {
+        let mut sub = loop {
             match queue.recv_timeout(DRAIN_POLL) {
                 Ok(sub) => {
                     if let Some(sub) = triage(sub, stats) {
@@ -313,49 +325,26 @@ pub fn run_batcher(
                 Err(RecvTimeoutError::Disconnected) => break 'serve,
             }
         };
-        pending.clear();
-        let mut total_queries = first.batch.len();
-        pending.push(first);
-
-        // Coalesce: whatever is queued, plus anything that arrives
-        // within the linger window, up to the batch-size cap.
-        let deadline = Instant::now() + config.linger;
-        while total_queries < config.max_batch_queries {
-            let wait = deadline.saturating_duration_since(Instant::now());
-            match queue.recv_timeout(wait) {
-                Ok(sub) => {
-                    if let Some(sub) = triage(sub, stats) {
-                        total_queries += sub.batch.len();
-                        pending.push(sub);
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => {
+        merged.clear();
+        routes.clear();
+        // Coalesce whatever is already queued, up to the batch-size
+        // cap, without waiting: submissions that arrive while this
+        // batch runs form the next one.
+        loop {
+            merged.extend_from(&sub.batch);
+            routes.push((sub.request_id, sub.version, merged.len(), sub.reply));
+            if merged.len() >= config.max_batch_queries {
+                break;
+            }
+            match next_queued(queue, stats) {
+                Ok(next) => sub = next,
+                Err(TryRecvError::Empty) => break,
+                Err(TryRecvError::Disconnected) => {
                     // Run what we already merged, then exit.
                     disconnected = true;
                     break;
                 }
             }
-        }
-
-        // Deadline re-check *after* linger: the window itself consumes
-        // budget, and a submission that expired waiting answers LATE
-        // instead of dragging the whole batch through the engine.
-        merged.clear();
-        routes.clear();
-        for sub in pending.drain(..) {
-            if let Some(info) = sub.expired() {
-                send_late(&sub, info, stats);
-                continue;
-            }
-            if sub.reply.is_dead() {
-                continue;
-            }
-            merged.extend_from(&sub.batch);
-            routes.push((sub.request_id, sub.version, merged.len(), sub.reply));
-        }
-        if merged.is_empty() {
-            continue; // everything expired or died; no engine run
         }
 
         stats.batches_run.fetch_add(1, Ordering::Relaxed);

@@ -64,9 +64,6 @@ pub struct ServerConfig {
     /// Admission-queue capacity in submissions; a full queue answers
     /// BUSY (the backpressure bound).
     pub queue_depth: usize,
-    /// The batcher's coalescing window after a batch's first
-    /// submission arrives.
-    pub linger: Duration,
     /// Stop coalescing a batch at this many queries.
     pub max_batch_queries: usize,
     /// Largest accepted frame payload, in bytes.
@@ -91,7 +88,6 @@ impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
             queue_depth: 1024,
-            linger: Duration::from_micros(200),
             max_batch_queries: 4096,
             max_frame_len: wire::DEFAULT_MAX_FRAME_LEN,
             max_queries_per_frame: 4096,
@@ -203,7 +199,6 @@ impl Server {
     pub fn run(self) -> io::Result<()> {
         let (submit, queue) = mpsc::sync_channel::<Submission>(self.config.queue_depth);
         let batcher_config = BatcherConfig {
-            linger: self.config.linger,
             max_batch_queries: self.config.max_batch_queries,
         };
         let conn_config = ConnConfig {
@@ -239,6 +234,10 @@ impl Server {
                 Ok(stream) => stream,
                 Err(_) => continue,
             };
+            // Replies are small frames written back to back; Nagle
+            // would hold all but the first of a batch's frames to one
+            // connection until the client ACKs.
+            let _ = stream.set_nodelay(true);
             // Reap registry entries whose threads already finished so
             // connection churn doesn't grow the registry unboundedly.
             let mut i = 0;

@@ -18,7 +18,7 @@
 //!
 //! ```text
 //! cargo run --release -p exma-server -- --profile toy --port 7878
-//! cargo run --release -p exma-server -- --profile human_rel --k 4 --linger-us 500
+//! cargo run --release -p exma-server -- --profile human_rel --k 4 --max-batch 1024
 //! ```
 
 use std::path::PathBuf;
@@ -35,6 +35,7 @@ use exma_server::{Server, ServerConfig, ServerHandle};
 
 const USAGE: &str = "\
 exma-server: serve EXMA QueryBatches over TCP with continuous batching
+(each engine run merges whatever is queued; a lone request runs at once)
 
 USAGE:
     cargo run --release -p exma-server [-- OPTIONS]
@@ -51,8 +52,8 @@ OPTIONS:
     --host HOST           bind address (default: 127.0.0.1)
     --port N              bind port, 0 = ephemeral (default: 7878)
     --queue-depth N       admission-queue capacity (default: 1024)
-    --linger-us N         coalescing window in microseconds (default: 200)
-    --max-batch N         per-run query cap for the batcher (default: 4096)
+    --max-batch N         per-run query cap: the batcher merges queued
+                          requests up to N queries (default: 4096)
     --max-frame-len N     largest accepted frame payload (default: 1 MiB)
     --max-hits-ceiling N  clamp every locate's hit cap to N (default: none)
     --default-deadline-us N
@@ -109,9 +110,6 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Option<Args>, String
             "--host" => args.host = value("--host")?,
             "--port" => args.port = parse_num(&value("--port")?)?,
             "--queue-depth" => args.config.queue_depth = parse_num(&value("--queue-depth")?)?,
-            "--linger-us" => {
-                args.config.linger = Duration::from_micros(parse_num(&value("--linger-us")?)?)
-            }
             "--max-batch" => args.config.max_batch_queries = parse_num(&value("--max-batch")?)?,
             "--max-frame-len" => args.config.max_frame_len = parse_num(&value("--max-frame-len")?)?,
             "--max-hits-ceiling" => {
@@ -379,8 +377,8 @@ mod tests {
             "0",
             "--queue-depth",
             "4",
-            "--linger-us",
-            "500",
+            "--max-batch",
+            "512",
             "--max-hits-ceiling",
             "32",
             "--default-deadline-us",
@@ -402,7 +400,7 @@ mod tests {
         assert!(args.bidirectional);
         assert_eq!(args.port, 0);
         assert_eq!(args.config.queue_depth, 4);
-        assert_eq!(args.config.linger, Duration::from_micros(500));
+        assert_eq!(args.config.max_batch_queries, 512);
         assert_eq!(args.config.max_hits_ceiling, Some(32));
         assert_eq!(
             args.config.default_deadline,

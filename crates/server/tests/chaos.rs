@@ -11,7 +11,7 @@
 //! the suite by timeout).
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -51,9 +51,14 @@ struct Client {
 
 impl Client {
     fn connect(server: &TestServer) -> Client {
-        Client {
-            stream: TcpStream::connect(server.handle.addr()).expect("connect loopback"),
-        }
+        Client::connect_to(server.handle.addr())
+    }
+
+    /// Small frames go out at once (no Nagle stall behind an ACK).
+    fn connect_to(addr: SocketAddr) -> Client {
+        let stream = TcpStream::connect(addr).expect("connect loopback");
+        stream.set_nodelay(true).expect("nodelay");
+        Client { stream }
     }
 
     /// A v2 QUERY frame carrying `deadline_us` (0 = none).
@@ -132,20 +137,44 @@ fn expected_payload(builder: &EngineBuilder, index: &KStepFmIndex, batch: &Query
     payload
 }
 
+/// A slow head-of-line batch: uncapped empty-pattern locates each
+/// resolve the entire toy text, keeping the batcher busy for hundreds
+/// of milliseconds while a test queues work behind it.
+fn slow_batch() -> QueryBatch {
+    QueryBatch::uniform(QueryRequest::locate(), vec![Vec::<Base>::new(); 60])
+}
+
+/// Sends [`slow_batch`] on `holder` as `request_id`, then polls STATS
+/// on `probe` until the batcher has started running it. Under a
+/// server deadline ceiling the slow batch itself can lapse before the
+/// batcher picks it up (it then answers LATE); it is sent again.
+fn hold_batcher(holder: &mut Client, probe: &mut Client, request_id: u64) {
+    let mut sent = 0;
+    loop {
+        let stats = probe.stats_snapshot(request_id + 1);
+        if stats.batches_run > 0 {
+            return;
+        }
+        if stats.late_dropped == sent {
+            holder.send_query(request_id, 0, &slow_batch());
+            sent += 1;
+        }
+        thread::sleep(Duration::from_micros(100));
+    }
+}
+
 #[test]
 fn expired_submissions_answer_late_without_an_engine_run() {
     let genome = toy_genome();
     let builder = EngineBuilder::new().k(4);
     let index = Arc::new(builder.build_index(&genome.text_with_sentinel()).unwrap());
-    // A long linger guarantees a 1 ms budget expires inside the
-    // coalescing window — the post-linger recheck must catch it.
-    let config = ServerConfig {
-        linger: Duration::from_millis(120),
-        ..ServerConfig::default()
-    };
-    let server = TestServer::start(Arc::clone(&index), builder, config);
+    let server = TestServer::start(Arc::clone(&index), builder, ServerConfig::default());
+    let mut holder = Client::connect(&server);
     let mut client = Client::connect(&server);
 
+    // Queued behind the slow batch, a 1 ms budget lapses before the
+    // batcher dequeues it — the dequeue check must catch it.
+    hold_batcher(&mut holder, &mut client, 100);
     let batch = mixed_batch(&genome, 12, 1);
     client.send_query(1, 1_000, &batch);
     let (header, payload) = client.read_frame().expect("late frame");
@@ -160,11 +189,15 @@ fn expired_submissions_answer_late_without_an_engine_run() {
         info.budget_us
     );
 
-    // The expired submission must never have reached the engine.
+    // The expired submission must never have reached the engine: the
+    // slow batch is the only run.
     let stats = client.stats_snapshot(2);
     assert_eq!(stats.late_dropped, 1);
-    assert_eq!(stats.batches_run, 0, "LATE work still ran the engine");
-    assert_eq!(stats.queries_executed, 0);
+    assert_eq!(stats.batches_run, 1, "LATE work still ran the engine");
+    assert_eq!(stats.queries_executed, slow_batch().len() as u64);
+    let (header, payload) = holder.read_frame().expect("slow results");
+    assert_eq!(Opcode::from_byte(header.opcode), Ok(Opcode::Results));
+    assert_eq!(payload, expected_payload(&builder, &index, &slow_batch()));
 
     // A deadline-free query on the same connection still answers
     // byte-exactly — deadlines shed work, not connections.
@@ -172,7 +205,7 @@ fn expired_submissions_answer_late_without_an_engine_run() {
     let (header, payload) = client.read_frame().expect("results");
     assert_eq!(Opcode::from_byte(header.opcode), Ok(Opcode::Results));
     assert_eq!(payload, expected_payload(&builder, &index, &batch));
-    drop(client);
+    drop((holder, client));
     server.stop();
 }
 
@@ -182,21 +215,26 @@ fn server_deadline_ceiling_applies_to_deadline_free_clients() {
     let builder = EngineBuilder::new().k(4);
     let index = Arc::new(builder.build_index(&genome.text_with_sentinel()).unwrap());
     let config = ServerConfig {
-        linger: Duration::from_millis(120),
         default_deadline: Some(Duration::from_millis(1)),
         ..ServerConfig::default()
     };
     let server = TestServer::start(Arc::clone(&index), builder, config);
+    let mut holder = Client::connect(&server);
     let mut client = Client::connect(&server);
 
-    // The client asked for no deadline at all; the server's ceiling
-    // still sheds it once the linger window outlives 1 ms.
+    // The client asks for no deadline at all; the server's ceiling
+    // still sheds it once it has queued behind the slow batch for
+    // longer than 1 ms.
+    hold_batcher(&mut holder, &mut client, 100);
     client.send_query(1, 0, &mixed_batch(&genome, 8, 2));
     let (header, payload) = client.read_frame().expect("late frame");
     assert_eq!(Opcode::from_byte(header.opcode), Ok(Opcode::Late));
     let info = wire::decode_late(&payload).expect("late payload");
     assert_eq!(info.budget_us, 1_000);
-    drop(client);
+    let stats = client.stats_snapshot(2);
+    assert_eq!(stats.batches_run, 1, "LATE work still ran the engine");
+    assert_eq!(stats.queries_executed, slow_batch().len() as u64);
+    drop((holder, client));
     server.stop();
 }
 
@@ -242,22 +280,16 @@ fn shutdown_drains_in_flight_work_and_goaways_new_queries() {
     let genome = toy_genome();
     let builder = EngineBuilder::new().k(4);
     let index = Arc::new(builder.build_index(&genome.text_with_sentinel()).unwrap());
-    // A long linger holds the admitted batch in flight while shutdown
-    // lands, so the drain provably finishes queued work.
-    let config = ServerConfig {
-        linger: Duration::from_millis(150),
-        ..ServerConfig::default()
-    };
-    let server = TestServer::start(Arc::clone(&index), builder, config);
+    let server = TestServer::start(Arc::clone(&index), builder, ServerConfig::default());
     let mut client = Client::connect(&server);
+    let mut probe = Client::connect(&server);
 
-    let batch = mixed_batch(&genome, 25, 4);
-    client.send_query(1, 0, &batch);
-    // Let the reader admit it before the drain flag flips.
-    thread::sleep(Duration::from_millis(30));
+    // Shutdown lands while the slow batch is in flight, so the drain
+    // provably finishes admitted work.
+    hold_batcher(&mut client, &mut probe, 1);
     server.handle.shutdown();
-    thread::sleep(Duration::from_millis(10));
     // Anything submitted after the drain began answers GOAWAY.
+    let batch = mixed_batch(&genome, 25, 4);
     client.send_query(2, 0, &batch);
 
     let mut saw_results = false;
@@ -268,7 +300,7 @@ fn shutdown_drains_in_flight_work_and_goaways_new_queries() {
                 assert_eq!(header.request_id, 1);
                 assert_eq!(
                     payload,
-                    expected_payload(&builder, &index, &batch),
+                    expected_payload(&builder, &index, &slow_batch()),
                     "drained work diverged from direct execution"
                 );
                 saw_results = true;
@@ -300,7 +332,6 @@ fn slow_readers_are_shed_and_disconnected_not_buffered() {
     let builder = EngineBuilder::new().k(4);
     let index = Arc::new(builder.build_index(&genome.text_with_sentinel()).unwrap());
     let config = ServerConfig {
-        linger: Duration::ZERO,
         // One-frame writer queue: a client that doesn't read overflows
         // it as soon as the socket's own buffer is full.
         writer_queue_depth: 1,
@@ -516,7 +547,6 @@ fn busy_storm_answers_every_frame_and_recovers() {
     let index = Arc::new(builder.build_index(&genome.text_with_sentinel()).unwrap());
     let config = ServerConfig {
         queue_depth: 1,
-        linger: Duration::ZERO,
         max_frame_len: 16 << 20,
         ..ServerConfig::default()
     };
@@ -673,9 +703,7 @@ fn concurrent_shutdowns_are_idempotent_and_join_cleanly() {
 
     // Traffic before the race, so the drain has a live connection and
     // verified in-flight state to finish.
-    let mut client = Client {
-        stream: TcpStream::connect(addr).expect("connect loopback"),
-    };
+    let mut client = Client::connect_to(addr);
     let batch = mixed_batch(&genome, 20, 17);
     client.send_query(1, 0, &batch);
     let (header, payload) = client.read_frame().expect("pre-drain results");

@@ -45,10 +45,11 @@ struct Client {
 }
 
 impl Client {
+    /// Small frames go out at once (no Nagle stall behind an ACK).
     fn connect(server: &TestServer) -> Client {
-        Client {
-            stream: TcpStream::connect(server.handle.addr()).expect("connect loopback"),
-        }
+        let stream = TcpStream::connect(server.handle.addr()).expect("connect loopback");
+        stream.set_nodelay(true).expect("nodelay");
+        Client { stream }
     }
 
     fn send_query(&mut self, request_id: u64, batch: &QueryBatch) {
@@ -130,6 +131,22 @@ fn expected_payload(builder: &EngineBuilder, index: &KStepFmIndex, batch: &Query
     let mut payload = Vec::new();
     wire::encode_results_range(&results, 0, results.len(), &mut payload);
     payload
+}
+
+/// A slow head-of-line batch: uncapped empty-pattern locates each
+/// resolve the entire toy text, keeping the batcher busy for hundreds
+/// of milliseconds while a test queues work behind it.
+fn slow_batch() -> QueryBatch {
+    QueryBatch::uniform(QueryRequest::locate(), vec![Vec::<Base>::new(); 60])
+}
+
+/// Sends [`slow_batch`] on `holder` as `request_id`, then polls STATS
+/// on `probe` until the batcher has started running it.
+fn hold_batcher(holder: &mut Client, probe: &mut Client, request_id: u64) {
+    holder.send_query(request_id, &slow_batch());
+    while probe.stats_snapshot(request_id + 1).batches_run == 0 {
+        thread::sleep(Duration::from_micros(100));
+    }
 }
 
 #[test]
@@ -304,17 +321,14 @@ fn full_admission_queue_answers_busy_not_buffering() {
     let index = Arc::new(builder.build_index(&genome.text_with_sentinel()).unwrap());
     let config = ServerConfig {
         queue_depth: 1,
-        linger: Duration::ZERO,
-        // Uncapped empty-pattern locates resolve the entire text; 60
-        // of them keep the batcher busy for long enough that the
-        // burst below observably overflows the 1-slot queue.
-        max_frame_len: 16 << 20,
         ..ServerConfig::default()
     };
     let server = TestServer::start(Arc::clone(&index), builder, config);
     let mut client = Client::connect(&server);
 
-    let slow = QueryBatch::uniform(QueryRequest::locate(), vec![Vec::<Base>::new(); 60]);
+    // The slow batch keeps the batcher busy for long enough that the
+    // burst below observably overflows the 1-slot queue.
+    let slow = slow_batch();
     client.send_query(0, &slow);
     let quick = QueryBatch::new().count(genome.seq().slice(0, 8));
     for id in 1..=9u64 {
@@ -351,46 +365,47 @@ fn full_admission_queue_answers_busy_not_buffering() {
 }
 
 #[test]
-fn linger_window_coalesces_concurrent_submissions() {
+fn submissions_queued_behind_a_busy_batcher_merge_into_one_run() {
     let genome = toy_genome();
     let builder = EngineBuilder::new().k(4);
     let index = Arc::new(builder.build_index(&genome.text_with_sentinel()).unwrap());
-    let config = ServerConfig {
-        linger: Duration::from_millis(150),
-        ..ServerConfig::default()
-    };
-    let server = TestServer::start(Arc::clone(&index), builder, config);
+    let server = TestServer::start(Arc::clone(&index), builder, ServerConfig::default());
 
-    thread::scope(|scope| {
-        for client_id in 0..6u64 {
-            let server = &server;
-            let genome = &genome;
-            let index = &index;
-            scope.spawn(move || {
-                let mut client = Client::connect(server);
-                let batch = mixed_batch(genome, 10, client_id);
-                client.send_query(client_id, &batch);
-                let (header, payload) = client.read_frame().expect("response");
-                assert_eq!(Opcode::from_byte(header.opcode), Ok(Opcode::Results));
-                assert_eq!(payload, expected_payload(&builder, index, &batch));
-            });
-        }
-    });
-
+    let mut holder = Client::connect(&server);
     let mut probe = Client::connect(&server);
+    hold_batcher(&mut holder, &mut probe, 100);
+
+    // Six one-batch clients submit while the slow batch runs: they
+    // wait in the queue, and the batcher must merge them once it is
+    // free — that is the continuous-batching contract this server
+    // exists for.
+    let mut clients: Vec<(Client, QueryBatch)> = (0..6u64)
+        .map(|client_id| {
+            let mut client = Client::connect(&server);
+            let batch = mixed_batch(&genome, 10, client_id);
+            client.send_query(client_id, &batch);
+            (client, batch)
+        })
+        .collect();
+    for (client, batch) in &mut clients {
+        let (header, payload) = client.read_frame().expect("response");
+        assert_eq!(Opcode::from_byte(header.opcode), Ok(Opcode::Results));
+        assert_eq!(payload, expected_payload(&builder, &index, batch));
+    }
+    let (header, payload) = holder.read_frame().expect("slow results");
+    assert_eq!(Opcode::from_byte(header.opcode), Ok(Opcode::Results));
+    assert_eq!(payload, expected_payload(&builder, &index, &slow_batch()));
+
     let stats = probe.stats_snapshot(999);
-    assert_eq!(stats.submissions_admitted, 6);
-    // Six near-simultaneous one-batch clients against a 150 ms linger
-    // window: the batcher must have merged at least once — that is
-    // the continuous-batching contract this server exists for.
+    assert_eq!(stats.submissions_admitted, 7);
     assert!(
-        stats.batches_run < 6,
+        stats.batches_run < stats.submissions_admitted,
         "no coalescing: {} submissions ran as {} batches",
         stats.submissions_admitted,
         stats.batches_run
     );
     assert!(stats.max_coalesced >= 2);
-    drop(probe);
+    drop((holder, probe, clients));
     server.stop();
 }
 

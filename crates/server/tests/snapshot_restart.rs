@@ -135,10 +135,11 @@ struct Client {
 }
 
 impl Client {
+    /// Small frames go out at once (no Nagle stall behind an ACK).
     fn connect(addr: &str) -> Client {
-        Client {
-            stream: TcpStream::connect(addr).expect("connect to server process"),
-        }
+        let stream = TcpStream::connect(addr).expect("connect to server process");
+        stream.set_nodelay(true).expect("nodelay");
+        Client { stream }
     }
 
     fn send_raw(&mut self, bytes: &[u8]) {
