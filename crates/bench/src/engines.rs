@@ -57,10 +57,16 @@ impl Measure {
     }
 }
 
+/// The serial lockstep recipe: the builder default pinned to one
+/// thread, so a row's numbers do not depend on the machine's core count.
+/// The sharded rows come from the explicit `--threads` list instead.
+pub fn serial() -> EngineBuilder {
+    EngineBuilder::new().threads(1)
+}
+
 /// The builder-config enumeration the whole harness drives off.
 /// Duplicate descriptors (e.g. `--threads 1` reproducing the serial
-/// locality engine, which short-circuits to it anyway) are dropped,
-/// keeping the first occurrence.
+/// locality row) are dropped, keeping the first occurrence.
 pub fn builder_configs(thread_counts: &[usize]) -> Vec<(EngineBuilder, Measure)> {
     let mut configs: Vec<(EngineBuilder, Measure)> = Vec::new();
     // Sequential baselines at every step width; seq_k1 is the oracle
@@ -70,18 +76,12 @@ pub fn builder_configs(thread_counts: &[usize]) -> Vec<(EngineBuilder, Measure)>
     }
     // Plain lockstep at both widths isolates batching from scheduling.
     for k in [2usize, 4] {
-        configs.push((
-            EngineBuilder::new().k(k).schedule(BatchConfig::default()),
-            Measure::All,
-        ));
+        configs.push((serial().k(k).schedule(BatchConfig::default()), Measure::All));
     }
     // Scheduling refinements at the headline width (locality is the
     // builder default).
-    configs.push((
-        EngineBuilder::new().schedule(BatchConfig::sorted()),
-        Measure::All,
-    ));
-    configs.push((EngineBuilder::new(), Measure::All));
+    configs.push((serial().schedule(BatchConfig::sorted()), Measure::All));
+    configs.push((serial(), Measure::All));
     // Sharding at every requested thread count.
     for &threads in thread_counts {
         configs.push((EngineBuilder::new().threads(threads), Measure::All));
@@ -89,12 +89,12 @@ pub fn builder_configs(thread_counts: &[usize]) -> Vec<(EngineBuilder, Measure)>
     // Resolver-schedule isolation: locality search, swapped resolver —
     // locate timing only (counts are identical to the locality entry).
     for resolve in [ResolveConfig::default(), ResolveConfig::sorted()] {
-        configs.push((EngineBuilder::new().resolve(resolve), Measure::LocateOnly));
+        configs.push((serial().resolve(resolve), Measure::LocateOnly));
     }
     // The memory-layout presets at the headline width: the compact
     // two-level layout and the flat u32 baseline it is gated against.
     for layout in [IndexLayout::compact(), IndexLayout::fast()] {
-        configs.push((EngineBuilder::new().layout(layout), Measure::All));
+        configs.push((serial().layout(layout), Measure::All));
     }
     let mut seen = HashSet::new();
     configs.retain(|(builder, _)| seen.insert(builder.descriptor()));
@@ -472,16 +472,8 @@ mod tests {
         let patterns: Vec<Vec<Base>> = (0..30).map(|i| genome.seq().slice(i * 23, 12)).collect();
         let batch = QueryBatch::uniform(QueryRequest::Count, &patterns);
         let expected: Vec<usize> = patterns.iter().map(|p| one.count(p)).collect();
-        let fine = SweepPoint::build(
-            &text,
-            EngineBuilder::new().k_occ_sample_rate(64),
-            Measure::All,
-        );
-        let coarse = SweepPoint::build(
-            &text,
-            EngineBuilder::new().k_occ_sample_rate(1024),
-            Measure::All,
-        );
+        let fine = SweepPoint::build(&text, serial().k_occ_sample_rate(64), Measure::All);
+        let coarse = SweepPoint::build(&text, serial().k_occ_sample_rate(1024), Measure::All);
         for point in [&fine, &coarse] {
             let (results, _) = point.variant().exec.run(&batch);
             let counts: Vec<usize> = (0..results.len()).map(|i| results.count(i)).collect();
@@ -497,16 +489,8 @@ mod tests {
         let one = FmIndex::from_text(&text);
         let patterns: Vec<Vec<Base>> = (0..30).map(|i| genome.seq().slice(i * 19, 11)).collect();
         let batch = QueryBatch::uniform(QueryRequest::locate(), &patterns);
-        let fine = SweepPoint::build(
-            &text,
-            EngineBuilder::new().sa_sample_rate(8),
-            Measure::LocateOnly,
-        );
-        let coarse = SweepPoint::build(
-            &text,
-            EngineBuilder::new().sa_sample_rate(64),
-            Measure::LocateOnly,
-        );
+        let fine = SweepPoint::build(&text, serial().sa_sample_rate(8), Measure::LocateOnly);
+        let coarse = SweepPoint::build(&text, serial().sa_sample_rate(64), Measure::LocateOnly);
         for point in [&fine, &coarse] {
             let (results, _) = point.variant().exec.run(&batch);
             for (i, p) in patterns.iter().enumerate() {

@@ -46,7 +46,7 @@ use exma_genome::{
 use exma_index::{naive, KStepBuildConfig};
 
 use crate::engines::{
-    builder_configs, checksum, EngineSet, Measure, SweepPoint, Variant, OP_COUNT, OP_KINDS,
+    builder_configs, checksum, serial, EngineSet, Measure, SweepPoint, Variant, OP_COUNT, OP_KINDS,
     OP_LOCATE, OP_MIXED, OP_NAMES,
 };
 use crate::json::Json;
@@ -447,18 +447,14 @@ fn heap_json(heap: &HeapBreakdown) -> Json {
 /// the doubled `forward·revcomp` text.
 fn bidir_preset_builders() -> [(&'static str, EngineBuilder); 3] {
     [
-        ("default", EngineBuilder::new().bidirectional(true)),
+        ("default", serial().bidirectional(true)),
         (
             "compact",
-            EngineBuilder::new()
-                .layout(IndexLayout::compact())
-                .bidirectional(true),
+            serial().layout(IndexLayout::compact()).bidirectional(true),
         ),
         (
             "fast",
-            EngineBuilder::new()
-                .layout(IndexLayout::fast())
-                .bidirectional(true),
+            serial().layout(IndexLayout::fast()).bidirectional(true),
         ),
     ]
 }
@@ -617,26 +613,14 @@ fn bidir_section(
 fn sweep_builders() -> Vec<(EngineBuilder, Measure, usize)> {
     SWEEP_RATES
         .iter()
-        .map(|&rate| {
-            (
-                EngineBuilder::new().k_occ_sample_rate(rate),
-                Measure::All,
-                rate,
-            )
-        })
+        .map(|&rate| (serial().k_occ_sample_rate(rate), Measure::All, rate))
         .collect()
 }
 
 fn sa_sweep_builders() -> Vec<(EngineBuilder, Measure, usize)> {
     SA_SWEEP_RATES
         .iter()
-        .map(|&rate| {
-            (
-                EngineBuilder::new().sa_sample_rate(rate),
-                Measure::LocateOnly,
-                rate,
-            )
-        })
+        .map(|&rate| (serial().sa_sample_rate(rate), Measure::LocateOnly, rate))
         .collect()
 }
 
@@ -647,7 +631,7 @@ fn sa_sweep_builders() -> Vec<(EngineBuilder, Measure, usize)> {
 /// wide superblock overflows a u8 counter — which is the frontier the
 /// sweep exists to map.
 fn delta_sweep_builders() -> Vec<(EngineBuilder, Measure, DeltaWidth, usize)> {
-    let base = EngineBuilder::new().k_occ_sample_rate(DELTA_SWEEP_KOCC_RATE);
+    let base = serial().k_occ_sample_rate(DELTA_SWEEP_KOCC_RATE);
     let mut builders = vec![(
         base.delta_width(DeltaWidth::U32),
         Measure::All,

@@ -172,7 +172,7 @@ impl From<SnapshotError> for EngineError {
 /// ```
 /// use exma_engine::{EngineBuilder, IndexLayout};
 ///
-/// let builder = EngineBuilder::new().layout(IndexLayout::compact());
+/// let builder = EngineBuilder::new().threads(1).layout(IndexLayout::compact());
 /// assert_eq!(builder.descriptor(), "lockstep_k4_locality_compact");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -360,20 +360,24 @@ pub struct EngineBuilder {
     layout: IndexLayout,
     batch: BatchConfig,
     sequential: bool,
-    threads: usize,
+    /// `None` = every available core, or one on a sequential recipe.
+    threads: Option<usize>,
     bidirectional: bool,
 }
 
 impl Default for EngineBuilder {
     /// The headline engine: k = 4 lockstep with the full locality
-    /// schedule on one thread and the default [`IndexLayout`].
+    /// schedule, sharded across every available core
+    /// ([`std::thread::available_parallelism`], which honours the
+    /// process's CPU affinity and cgroup quota, falling back to one
+    /// thread), with the default [`IndexLayout`].
     fn default() -> EngineBuilder {
         EngineBuilder {
             k: 4,
             layout: IndexLayout::default(),
             batch: BatchConfig::locality(),
             sequential: false,
-            threads: 1,
+            threads: None,
             bidirectional: false,
         }
     }
@@ -458,17 +462,18 @@ impl EngineBuilder {
     }
 
     /// Sequential per-query execution: the baseline the lockstep
-    /// engines are measured against. Incompatible with `threads > 1`.
+    /// engines are measured against. Runs on one thread; an explicit
+    /// [`EngineBuilder::threads`] above one is an error.
     pub fn sequential(mut self) -> EngineBuilder {
         self.sequential = true;
         self
     }
 
-    /// Worker threads of a sharded executor (1 = the serial lockstep
-    /// engine; the sharded path short-circuits to it anyway). Zero
+    /// Pins the thread count of a sharded executor, overriding the
+    /// every-core default (1 = the serial lockstep engine). Zero
     /// surfaces as [`EngineError::ZeroThreads`] when the recipe is used.
     pub fn threads(mut self, threads: usize) -> EngineBuilder {
-        self.threads = threads;
+        self.threads = Some(threads);
         self
     }
 
@@ -497,9 +502,16 @@ impl EngineBuilder {
         self.bidirectional
     }
 
-    /// The configured worker thread count.
+    /// The thread count this recipe runs on: the pinned
+    /// [`EngineBuilder::threads`], else one for a sequential recipe and
+    /// every available core ([`std::thread::available_parallelism`])
+    /// for a lockstep one.
     pub fn thread_count(&self) -> usize {
-        self.threads
+        match self.threads {
+            Some(threads) => threads,
+            None if self.sequential => 1,
+            None => available_cores(),
+        }
     }
 
     /// `true` iff this recipe runs queries one at a time.
@@ -514,15 +526,13 @@ impl EngineBuilder {
             return Err(EngineError::InvalidK { k: self.k });
         }
         self.layout.validate()?;
-        if self.threads == 0 {
-            return Err(EngineError::ZeroThreads);
+        match self.thread_count() {
+            0 => Err(EngineError::ZeroThreads),
+            threads if self.sequential && threads > 1 => {
+                Err(EngineError::SequentialThreads { threads })
+            }
+            _ => Ok(()),
         }
-        if self.sequential && self.threads > 1 {
-            return Err(EngineError::SequentialThreads {
-                threads: self.threads,
-            });
-        }
-        Ok(())
     }
 
     /// The index-construction knobs this recipe implies.
@@ -598,6 +608,17 @@ impl EngineBuilder {
         &self,
         index: &'a KStepFmIndex,
     ) -> Result<Box<dyn Executor + 'a>, EngineError> {
+        self.check_index(index)?;
+        Ok(match self.thread_count() {
+            _ if self.sequential => Box::new(index),
+            1 => Box::new(BatchEngine::with_config(index, self.batch)),
+            threads => Box::new(ShardedEngine::with_config(index, threads, self.batch)),
+        })
+    }
+
+    /// Checks that [`EngineBuilder::attach`] would accept `index`,
+    /// without building an executor — no shard workers are spawned.
+    pub fn check_index(&self, index: &KStepFmIndex) -> Result<(), EngineError> {
         self.validate()?;
         if index.k() != self.k {
             return Err(EngineError::StepWidthMismatch {
@@ -611,13 +632,7 @@ impl EngineBuilder {
                 builder_bidirectional: self.bidirectional,
             });
         }
-        Ok(if self.sequential {
-            Box::new(index)
-        } else if self.threads == 1 {
-            Box::new(BatchEngine::with_config(index, self.batch))
-        } else {
-            Box::new(ShardedEngine::with_config(index, self.threads, self.batch))
-        })
+        Ok(())
     }
 
     /// Wires the plain 1-step sequential executor — the oracle — onto a
@@ -637,7 +652,8 @@ impl EngineBuilder {
 
     /// The canonical descriptor of this recipe, derived field by field:
     /// `seq_k{k}` or `lockstep_k{k}_{schedule}`, then `_t{n}` for
-    /// multi-threaded recipes and the layout's fragments — `_compact`/
+    /// recipes that run on `n > 1` threads — a default recipe on a
+    /// multi-core machine included — and the layout's fragments — `_compact`/
     /// `_fast` for the named presets, otherwise
     /// `_occ{r}`/`_sa{r}`/`_kocc{r}` for non-default sampling rates,
     /// `_d8`/`_d32` for non-default delta widths and `_sb{r}` for
@@ -651,8 +667,9 @@ impl EngineBuilder {
         } else {
             format!("lockstep_k{}_{}", self.k, schedule_tag(&self.batch))
         };
-        if self.threads > 1 {
-            tag.push_str(&format!("_t{}", self.threads));
+        let threads = self.thread_count();
+        if threads > 1 {
+            tag.push_str(&format!("_t{threads}"));
         }
         self.layout.descriptor_fragments(self.k, &mut tag);
         if self.bidirectional {
@@ -660,6 +677,13 @@ impl EngineBuilder {
         }
         tag
     }
+}
+
+/// Threads the default recipe runs on:
+/// [`std::thread::available_parallelism`] — which honours CPU affinity
+/// and cgroup quotas — or one when it cannot tell.
+fn available_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, usize::from)
 }
 
 /// The schedule fragment of a descriptor: a preset name when the whole
@@ -714,63 +738,56 @@ mod tests {
     use exma_genome::alphabet::parse_bases;
     use exma_genome::genome::text_from_str;
 
+    /// The serial lockstep recipe, pinned so descriptors do not depend
+    /// on the machine's core count.
+    fn serial() -> EngineBuilder {
+        EngineBuilder::new().threads(1)
+    }
+
     #[test]
     fn descriptors_derive_from_every_field() {
-        assert_eq!(EngineBuilder::new().descriptor(), "lockstep_k4_locality");
+        assert_eq!(serial().descriptor(), "lockstep_k4_locality");
+        assert_eq!(serial().k(1).sequential().descriptor(), "seq_k1");
         assert_eq!(
-            EngineBuilder::new().k(1).sequential().descriptor(),
-            "seq_k1"
-        );
-        assert_eq!(
-            EngineBuilder::new()
-                .k(2)
-                .schedule(BatchConfig::default())
-                .descriptor(),
+            serial().k(2).schedule(BatchConfig::default()).descriptor(),
             "lockstep_k2_plain"
         );
+        assert_eq!(serial().threads(8).descriptor(), "lockstep_k4_locality_t8");
         assert_eq!(
-            EngineBuilder::new().threads(8).descriptor(),
-            "lockstep_k4_locality_t8"
-        );
-        assert_eq!(
-            EngineBuilder::new()
-                .resolve(ResolveConfig::default())
-                .descriptor(),
+            serial().resolve(ResolveConfig::default()).descriptor(),
             "lockstep_k4_locality_rplain"
         );
         assert_eq!(
-            EngineBuilder::new().sa_sample_rate(16).descriptor(),
+            serial().sa_sample_rate(16).descriptor(),
             "lockstep_k4_locality_sa16"
         );
         assert_eq!(
-            EngineBuilder::new().k_occ_sample_rate(128).descriptor(),
+            serial().k_occ_sample_rate(128).descriptor(),
             "lockstep_k4_locality_kocc128"
         );
         // The k-dependent kocc default derives no fragment.
         assert_eq!(
-            EngineBuilder::new().k_occ_sample_rate(256).descriptor(),
+            serial().k_occ_sample_rate(256).descriptor(),
             "lockstep_k4_locality"
         );
         assert_eq!(
-            EngineBuilder::new()
-                .delta_width(DeltaWidth::U8)
-                .descriptor(),
+            serial().delta_width(DeltaWidth::U8).descriptor(),
             "lockstep_k4_locality_d8"
         );
         assert_eq!(
-            EngineBuilder::new().superblock_rate(64).descriptor(),
+            serial().superblock_rate(64).descriptor(),
             "lockstep_k4_locality_sb64"
         );
         // Flat rows have no superblocks, so the spacing derives nothing.
         assert_eq!(
-            EngineBuilder::new()
+            serial()
                 .delta_width(DeltaWidth::U32)
                 .superblock_rate(64)
                 .descriptor(),
             "lockstep_k4_locality_d32"
         );
         assert_eq!(
-            EngineBuilder::new()
+            serial()
                 .schedule(BatchConfig {
                     sort_by_interval: false,
                     prefetch_distance: 3,
@@ -782,31 +799,43 @@ mod tests {
     }
 
     #[test]
+    fn the_default_recipe_names_the_threads_it_runs_on() {
+        let cores = available_cores();
+        let default = EngineBuilder::new();
+        assert_eq!(default.thread_count(), cores);
+        let expected = match cores {
+            1 => "lockstep_k4_locality".to_string(),
+            n => format!("lockstep_k4_locality_t{n}"),
+        };
+        assert_eq!(default.descriptor(), expected);
+        // A pinned count wins; a sequential recipe resolves to one
+        // thread and stays valid, so the oracle recipe still attaches.
+        assert_eq!(default.threads(3).thread_count(), 3);
+        let oracle = EngineBuilder::new().k(1).sequential();
+        assert_eq!(oracle.thread_count(), 1);
+        assert_eq!(oracle.descriptor(), "seq_k1");
+        let text = text_from_str("CATAGA").unwrap();
+        assert!(oracle.attach_one_step(&FmIndex::from_text(&text)).is_ok());
+    }
+
+    #[test]
     fn layout_presets_derive_named_fragments() {
         assert_eq!(
-            EngineBuilder::new()
-                .layout(IndexLayout::compact())
-                .descriptor(),
+            serial().layout(IndexLayout::compact()).descriptor(),
             "lockstep_k4_locality_compact"
         );
         assert_eq!(
-            EngineBuilder::new()
-                .layout(IndexLayout::fast())
-                .descriptor(),
+            serial().layout(IndexLayout::fast()).descriptor(),
             "lockstep_k4_locality_fast"
         );
         // A knob sequence that lands exactly on a preset IS that preset:
         // equal recipes, equal descriptors.
         assert_eq!(
-            EngineBuilder::new()
-                .delta_width(DeltaWidth::U32)
-                .descriptor(),
+            serial().delta_width(DeltaWidth::U32).descriptor(),
             "lockstep_k4_locality_fast"
         );
         assert_eq!(
-            EngineBuilder::new()
-                .layout(IndexLayout::default())
-                .descriptor(),
+            serial().layout(IndexLayout::default()).descriptor(),
             "lockstep_k4_locality"
         );
     }
@@ -918,6 +947,14 @@ mod tests {
                 builder_k: 4
             })
         );
+        assert_eq!(
+            EngineBuilder::new().k(4).check_index(&index),
+            Err(EngineError::StepWidthMismatch {
+                index_k: 2,
+                builder_k: 4
+            })
+        );
+        assert_eq!(EngineBuilder::new().k(2).check_index(&index), Ok(()));
         assert_eq!(
             EngineBuilder::new().k(0).build_index(&text).err(),
             Some(EngineError::InvalidK { k: 0 })

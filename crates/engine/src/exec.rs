@@ -22,7 +22,7 @@ use exma_index::{resolve_capped_with_arena, FmIndex, HeapBreakdown, KStepFmIndex
 
 use crate::batch::{BatchEngine, BatchStats};
 use crate::query::{QueryArena, QueryBatch, QueryOutput, QueryRequest, QueryResults};
-use crate::shard::ShardedEngine;
+use crate::shard::{ShardedEngine, INLINE_THRESHOLD};
 
 /// A query engine that can answer a mixed-operation [`QueryBatch`].
 ///
@@ -36,11 +36,9 @@ use crate::shard::ShardedEngine;
 pub trait Executor {
     /// Runs `batch` through `arena`, leaving the answers in
     /// `arena.results()`. A caller that keeps one arena across
-    /// submissions reaches a steady state where the single-threaded
-    /// executors allocate nothing. (A multi-threaded [`ShardedEngine`]
-    /// still allocates worker-local scratch per call — only its merged
-    /// results pool in the caller's arena — so latency-critical
-    /// single-submission loops should use a one-thread executor.)
+    /// submissions reaches a steady state where no executor allocates:
+    /// a [`ShardedEngine`]'s pool workers keep their own arenas across
+    /// calls too.
     fn run_into(&self, batch: &QueryBatch, arena: &mut QueryArena) -> BatchStats;
 
     /// One-shot convenience over [`Executor::run_into`] with a fresh
@@ -260,42 +258,23 @@ impl Executor for BatchEngine<'_> {
 }
 
 impl Executor for ShardedEngine<'_> {
-    /// Sharded execution: contiguous query shards, one worker each,
-    /// per-shard pools stitched back into input order. With one thread
-    /// (or at most one query) this short-circuits to the serial
-    /// [`BatchEngine`] path in the caller's arena — no scoped-thread
-    /// spawn, no merge copy, so a `threads == 1` executor costs exactly
-    /// what the serial engine costs (PR 4 measured the spawn tax at
-    /// ~1-2% on the single-core bench box).
+    /// Sharded execution: the batch is cut into contiguous blocks that
+    /// the caller and the pool workers claim in turn, and the blocks'
+    /// pools are stitched back in input order. A one-thread engine, or
+    /// a batch shorter than [`crate::shard::INLINE_THRESHOLD`], runs
+    /// the serial [`BatchEngine`] path inline — no wake-up, no merge
+    /// copy, the serial engine's exact cost. A pooled run costs a
+    /// Condvar wake-up (about 8 µs round trip on a quiet 2-vCPU VM)
+    /// where the per-call `std::thread::scope` spawn it replaced cost
+    /// about 47 µs.
     fn run_into(&self, batch: &QueryBatch, arena: &mut QueryArena) -> BatchStats {
         let engine = BatchEngine::with_config(self.index(), self.config());
-        if self.threads() == 1 || batch.len() <= 1 {
-            return engine.run_into(batch, arena);
+        match self.pool() {
+            Some(pool) if batch.len() >= INLINE_THRESHOLD => {
+                self.run_pooled(pool, &engine, batch, arena)
+            }
+            _ => engine.run_into(batch, arena),
         }
-        let shard_len = batch.len().div_ceil(self.threads());
-        let shards: Vec<(QueryResults, BatchStats)> = std::thread::scope(|scope| {
-            let workers: Vec<_> = batch
-                .shards(shard_len)
-                .map(|(requests, patterns)| {
-                    scope.spawn(move || {
-                        let mut arena = QueryArena::new();
-                        let stats = engine.run_slice(requests, patterns, &mut arena);
-                        (arena.take_results(), stats)
-                    })
-                })
-                .collect();
-            workers
-                .into_iter()
-                .map(|worker| worker.join().expect("shard worker panicked"))
-                .collect()
-        });
-        let mut stats = BatchStats::default();
-        arena.results.reset(batch.len());
-        for (results, shard_stats) in &shards {
-            arena.results.append(results);
-            stats.absorb_shard(*shard_stats);
-        }
-        stats
     }
 
     /// Workers share the one borrowed index, so the footprint is the

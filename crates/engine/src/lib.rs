@@ -21,11 +21,13 @@
 //! one shared lockstep resolver worklist
 //! ([`exma_index::BatchResolver`]'s machinery) that retires positions
 //! into the pooled buffer, honoring per-query `max_hits` caps at round
-//! boundaries. [`ShardedEngine`] splits a batch across scoped threads
-//! (short-circuiting to the serial path at one thread), and a reusable
+//! boundaries. [`ShardedEngine`] splits a batch across the caller and a
+//! persistent pool of parked worker threads (running small batches, and
+//! every batch at one thread, on the serial path inline), and a reusable
 //! [`QueryArena`] makes steady-state submissions allocation-free.
 //! [`EngineBuilder`] is the one place index parameters, schedules, and
-//! thread counts combine into an executor — each combination deriving a
+//! thread counts (by default, every available core) combine into an
+//! executor — each combination deriving a
 //! canonical descriptor string the benchmark harness enumerates.
 //!
 //! ```

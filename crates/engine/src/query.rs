@@ -249,17 +249,6 @@ impl QueryBatch {
     pub fn patterns(&self) -> &[Vec<Base>] {
         &self.patterns
     }
-
-    /// Contiguous shards of at most `shard_len` queries — how the
-    /// sharded engine splits a batch across workers.
-    pub(crate) fn shards(
-        &self,
-        shard_len: usize,
-    ) -> impl Iterator<Item = (&[QueryRequest], &[Vec<Base>])> {
-        self.requests
-            .chunks(shard_len)
-            .zip(self.patterns.chunks(shard_len))
-    }
 }
 
 /// The per-query tag of a [`QueryResults`] entry.
@@ -476,8 +465,8 @@ impl QueryResults {
 /// lockstep worklists. All buffers keep their high-water capacity, so a
 /// caller that reuses one arena across submissions reaches a steady
 /// state where [`crate::Executor::run_into`] allocates nothing.
-/// (The sharded engine's workers each use a worker-local arena; the
-/// caller's arena still pools the merged results.)
+/// (A sharded engine's pool workers each keep their own arena; the
+/// caller's arena pools the merged results.)
 #[derive(Debug, Default)]
 pub struct QueryArena {
     /// The batch's pooled answers.

@@ -126,7 +126,7 @@ fn thread_count_never_changes_answers() {
     // 1, 2 and 7 threads: 7 does not divide 600, so the last shard is
     // ragged — results must still come back identical, in input order.
     let genome = toy_genome();
-    let builder = EngineBuilder::new().k(4);
+    let builder = EngineBuilder::new().k(4).threads(1);
     let index = builder.build_index(&genome.text_with_sentinel()).unwrap();
     let patterns = pattern_mix(&genome, 600, 71);
     let mut batch = QueryBatch::new();

@@ -71,7 +71,7 @@ fn mixed_both_batch(genome: &Genome, total: usize, seed: u64) -> QueryBatch {
 
 /// Every executor flavor under test for a given k.
 fn executors(k: usize) -> Vec<EngineBuilder> {
-    let base = EngineBuilder::new().k(k).bidirectional(true);
+    let base = EngineBuilder::new().k(k).threads(1).bidirectional(true);
     vec![
         base.sequential(),
         base.schedule(BatchConfig::default()),

@@ -53,7 +53,7 @@ fn mixed_batch(genome: &Genome, total: usize, seed: u64) -> QueryBatch {
 
 /// Every executor flavor under test for a given k, by descriptor.
 fn executors(k: usize) -> Vec<EngineBuilder> {
-    let base = EngineBuilder::new().k(k);
+    let base = EngineBuilder::new().k(k).threads(1);
     vec![
         base.sequential(),
         base.schedule(BatchConfig::default()),

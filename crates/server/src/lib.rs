@@ -155,7 +155,7 @@ impl Server {
         config: ServerConfig,
     ) -> io::Result<Server> {
         builder
-            .attach(&index)
+            .check_index(&index)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
         let listener = TcpListener::bind(addr)?;
         let stats = Arc::new(ServerStats::default());

@@ -48,7 +48,8 @@ OPTIONS:
     --k N                 step width of the index (default: 4)
     --bidirectional       index both strands (doubled text) so clients
                           can send strand-agnostic search-both queries
-    --threads N           sharded-engine worker threads (default: 1)
+    --threads N           sharded-engine threads (default: every
+                          available core; 1 = the serial engine)
     --host HOST           bind address (default: 127.0.0.1)
     --port N              bind port, 0 = ephemeral (default: 7878)
     --queue-depth N       admission-queue capacity (default: 1024)
@@ -77,7 +78,8 @@ struct Args {
     seed: u64,
     k: usize,
     bidirectional: bool,
-    threads: usize,
+    /// `None` = the builder default, every available core.
+    threads: Option<usize>,
     host: String,
     port: u16,
     snapshot_path: Option<PathBuf>,
@@ -91,7 +93,7 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Option<Args>, String
         seed: 42,
         k: 4,
         bidirectional: false,
-        threads: 1,
+        threads: None,
         host: "127.0.0.1".to_string(),
         port: 7878,
         snapshot_path: None,
@@ -106,7 +108,7 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Option<Args>, String
             "--seed" => args.seed = parse_num(&value("--seed")?)?,
             "--k" => args.k = parse_num(&value("--k")?)?,
             "--bidirectional" => args.bidirectional = true,
-            "--threads" => args.threads = parse_num(&value("--threads")?)?,
+            "--threads" => args.threads = Some(parse_num(&value("--threads")?)?),
             "--host" => args.host = value("--host")?,
             "--port" => args.port = parse_num(&value("--port")?)?,
             "--queue-depth" => args.config.queue_depth = parse_num(&value("--queue-depth")?)?,
@@ -203,10 +205,12 @@ fn run(args: &Args) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let builder = EngineBuilder::new()
+    let mut builder = EngineBuilder::new()
         .k(args.k)
-        .threads(args.threads)
         .bidirectional(args.bidirectional);
+    if let Some(threads) = args.threads {
+        builder = builder.threads(threads);
+    }
 
     eprintln!(
         "synthesizing {} ({} bp, seed {})...",
